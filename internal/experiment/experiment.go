@@ -69,7 +69,8 @@ type Point struct {
 	Table dht.TablePolicy
 	// Partition runs the live point's one population across this many
 	// parallel event loops (the partition engine; 0 = the estimator's
-	// default, usually the classic single loop). Live estimation only.
+	// default, usually one loop with no loop-stat columns). Live estimation
+	// only.
 	Partition int
 	// Fault selects the deterministic fault-injection profile of the live
 	// point's simnet fabric (none, burst, partition, flap); FaultSev scales

@@ -9,8 +9,9 @@
 //
 // Determinism: an Engine draws every decision from RNGs derived with
 // stats.Mix64 substreams of its seed. Link verdicts (Judge) are serialized
-// by the fabric's RNG lock and consumed in delivery order, which the
-// single-loop simulator fixes; crash schedules use one substream per
+// by the fabric's RNG lock and consumed in send order, which the owning
+// event loop fixes (a partitioned fabric runs one engine per shard, so each
+// engine sees one loop's sends); crash schedules use one substream per
 // address, a pure function of the seed and the address, so wiring order
 // cannot perturb them. A run with a fault engine is as byte-reproducible as
 // one without.

@@ -75,7 +75,7 @@ func TestShareChurnExposureIsOnePeriod(t *testing.T) {
 // release-ahead attack runs entirely on start-time material — the column-1
 // slot onions nest the whole share chain — so its success rate is
 // P[some main slot malicious AND at least max(m) malicious column-1
-// carriers], independent of the deeper columns, and far above the quota
+// carriers], independent of the deeper columns, and well above the quota
 // model's every-column-thresholds rate.
 func TestShareLiveReleaseGatedByEntryColumn(t *testing.T) {
 	plan := sharePlan(2, 4, 6, 2) // k=2, l=4, n=6, m=2
@@ -99,8 +99,19 @@ func TestShareLiveReleaseGatedByEntryColumn(t *testing.T) {
 	}
 	want := atLeast2(6, p) - (1-p)*(1-p)*atLeast2(4, p)
 	withinCI(t, "live-model release", 1-live.Rr(), want)
-	if liveRel, quotaRel := 1-live.Rr(), 1-quota.Rr(); liveRel < 3*quotaRel {
-		t.Errorf("live-model release %.4f not well above quota-model %.4f", liveRel, quotaRel)
+	// The quota model (no churn here, so no deaths) gates release on every
+	// one of the l-1 = 3 share columns, each sampled independently: column 1
+	// exactly as above (a main slot plus >= 2 malicious carriers), and
+	// columns 2 and 3 each on >= 2 malicious of their 6 carriers. Its rate
+	// is want * atLeast2(6,p)^2, so the live/quota ratio is exactly
+	// 1/atLeast2(6,p)^2 = 1/0.5798^2 ~= 2.97 at p = 0.3: the deeper columns'
+	// thresholds, which the live adversary never has to meet.
+	deeper := math.Pow(atLeast2(6, p), float64(plan.L-2))
+	withinCI(t, "quota-model release", 1-quota.Rr(), want*deeper)
+	// The ratio of two ~20,000-trial estimates carries ~2% relative noise;
+	// 10% below the derived ratio is a >4-sigma margin.
+	if liveRel, quotaRel := 1-live.Rr(), 1-quota.Rr(); liveRel < 0.9*quotaRel/deeper {
+		t.Errorf("live-model release %.4f not %.2fx the quota-model %.4f", liveRel, 1/deeper, quotaRel)
 	}
 }
 

@@ -93,11 +93,11 @@ type Config struct {
 	// each shard owns a zone of the identifier space and cross-shard traffic
 	// merges at conservative lockstep barriers. It is the scaling mode for
 	// populations a single core's event loop cannot hold (replicate-mode
-	// Shards scales mission count, not population). Zero keeps the classic
-	// single loop; 1 exercises the partition machinery and replays the
-	// classic run byte for byte; like Shards it is part of the point
-	// descriptor (S > 1 samples decorrelated per-shard churn substreams).
-	// Mutually exclusive with Shards > 1.
+	// Shards scales mission count, not population). Zero and 1 both run one
+	// loop with identical results; zero means no loop-stat columns. Like
+	// Shards it is part of the point descriptor (S > 1 samples decorrelated
+	// per-shard churn and fault substreams). Mutually exclusive with
+	// Shards > 1; the eclipse forger needs S <= 1.
 	Partition int
 	// PartitionWorkers caps how many partition shard loops run concurrently
 	// (0 = GOMAXPROCS). Execution throttle only: results are byte-identical
@@ -120,8 +120,8 @@ type Config struct {
 	// Fault selects the deterministic fault-injection profile the simnet
 	// fabric runs under: none (default), burst (Gilbert–Elliott loss with
 	// latency spikes and duplication), partition (timed bisections), or flap
-	// (crash-restart windows). See fault.Profile. Requires the single event
-	// loop — the cross-shard handoff of Partition mode bypasses the injector.
+	// (crash-restart windows). See fault.Profile. Each Partition shard runs
+	// its own injector over every datagram it sends.
 	Fault fault.Profile
 	// FaultSeverity scales the chosen profile in [0,1]; zero disables
 	// injection even with a profile set, so sweep axes can cross severity
@@ -224,14 +224,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Partition > 0 && c.Shards > 1 {
 		return c, fmt.Errorf("scenario: partition and shards are mutually exclusive (one population across loops vs %d replicas)", c.Shards)
 	}
-	if c.Partition > 0 && c.Forge > 0 {
-		return c, fmt.Errorf("scenario: the eclipse forger requires the single event loop, not partition")
+	if c.Partition > 1 && c.Forge > 0 {
+		return c, fmt.Errorf("scenario: the eclipse forger requires one event loop, not partition %d", c.Partition)
 	}
 	if err := (fault.Config{Profile: c.Fault, Severity: c.FaultSeverity}).Validate(); err != nil {
 		return c, fmt.Errorf("scenario: %w", err)
-	}
-	if c.Partition > 0 && c.Fault != fault.ProfileNone && c.FaultSeverity > 0 {
-		return c, fmt.Errorf("scenario: fault profiles require the single event loop, not partition")
 	}
 	if c.Retry < 0 {
 		return c, fmt.Errorf("scenario: retry %d must be >= 0", c.Retry)
@@ -510,10 +507,11 @@ type Reference struct {
 	// descriptor, so it keys the cache: points that differ only in S never
 	// share a cached reference entry.
 	Shards int
-	// Partition is the live point's partition loop count (0 = classic single
-	// loop). Like Shards it is descriptor, not execution detail: a
-	// partitioned point samples decorrelated per-shard churn substreams, so
-	// it never shares a cached reference entry with the classic run.
+	// Partition is the live point's partition loop count (0 = one loop, no
+	// loop-stat columns). Like Shards it is descriptor, not execution
+	// detail: a multi-loop point samples decorrelated per-shard churn
+	// substreams, so it never shares a cached reference entry with the
+	// one-loop run.
 	Partition int
 	// Fault, FaultSev and Retry are the live point's fault-injection and
 	// retry-hardening knobs. The Monte Carlo model is fault-blind — Estimate

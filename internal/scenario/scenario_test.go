@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"selfemerge/internal/adversary"
 	"selfemerge/internal/core"
+	"selfemerge/internal/fault"
 	"selfemerge/internal/scenario"
 )
 
@@ -125,11 +127,33 @@ func TestScenarioValidation(t *testing.T) {
 		{Plan: jointPlan, Alpha: -1},
 		{Plan: jointPlan, Missions: -1},
 		{Plan: core.Plan{Scheme: core.SchemeJoint}}, // invalid shape
+		// The forger reads zone intel mid-epoch, so it needs one loop.
+		{Plan: jointPlan, Strategy: adversary.StrategyEclipse, Forge: 1, Partition: 2},
 	}
 	for i, cfg := range bad {
 		if _, err := scenario.Run(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
+	}
+}
+
+// TestScenarioPartitionComposition: fault injection composes with the
+// partition engine (each shard judges its own sends), and so does the
+// eclipse forger on one loop.
+func TestScenarioPartitionComposition(t *testing.T) {
+	faulty := scenario.Config{
+		Plan: jointPlan, Nodes: 40, Partition: 2,
+		Fault: fault.ProfileBurst, FaultSeverity: 0.5, Retry: 3,
+	}
+	if _, _, err := scenario.Setup(faulty); err != nil {
+		t.Errorf("fault x partition rejected: %v", err)
+	}
+	forger := scenario.Config{
+		Plan: jointPlan, Nodes: 40, Partition: 1,
+		Strategy: adversary.StrategyEclipse, Forge: 1, MaliciousRate: 0.1,
+	}
+	if _, _, err := scenario.Setup(forger); err != nil {
+		t.Errorf("forger x partition 1 rejected: %v", err)
 	}
 }
 

@@ -28,12 +28,13 @@ import (
 // schedule, and therefore every observable byte, is a pure function of the
 // configuration, independent of how many goroutines run the shard loops.
 //
-// Loss and jitter for a cross-shard message are drawn from the source
-// shard's RNG at send time, inside that shard's deterministic execution.
-// The one semantic difference from the single fabric: a sender's transient
-// down state (availability flapping) is enforced at send time only for
-// cross-shard messages — the destination shard cannot consult a foreign
-// down map at delivery time. Runs that enable flapping and partitioning
+// Loss, jitter and the fault injector's verdict for a cross-shard message
+// are drawn on the source shard at send time, inside that shard's
+// deterministic execution — the same draws, in the same order, as a local
+// send. The one semantic difference from the single fabric: a sender's
+// transient down state (availability flapping) is enforced at send time
+// only for cross-shard messages — the destination shard cannot consult a
+// foreign down map at delivery time. Runs that enable flapping and partitioning
 // accept that in-flight cross-shard datagrams survive the sender flapping
 // down; permanent death (endpoint close) is still enforced at delivery.
 type Partition struct {
@@ -85,7 +86,7 @@ func NewPartition(clocks []sim.Clock, cfg Config) (*Partition, error) {
 		return nil, fmt.Errorf("simnet: partition needs an explicit positive base latency (the lockstep lookahead), got %v", cfg.BaseLatency)
 	}
 	if cfg.Inject != nil {
-		return nil, fmt.Errorf("simnet: fault injection requires the single fabric; the partition hand-off path bypasses the injector")
+		return nil, fmt.Errorf("simnet: Config.Inject would be shared by concurrent shard loops; give each shard its own injector with SetInjector")
 	}
 	cfg = cfg.withDefaults()
 	p := &Partition{
@@ -106,6 +107,13 @@ func NewPartition(clocks []sim.Clock, cfg Config) (*Partition, error) {
 	}
 	return p, nil
 }
+
+// SetInjector wires a fault injector into one shard sub-network: it judges
+// every datagram the shard sends, local or cross-shard. Each shard needs
+// its own injector, because Judge runs on the shard's own loop and
+// concurrent loops must not share injector state. Call it before the shard
+// carries traffic.
+func (p *Partition) SetInjector(shard int, inj Injector) { p.subs[shard].cfg.Inject = inj }
 
 // Shards returns the shard count.
 func (p *Partition) Shards() int { return len(p.subs) }
@@ -212,33 +220,28 @@ func (p *Partition) handoff(src *Network, dst int, from, to transport.Addr, payl
 	}
 	src.mu.Unlock()
 
-	src.rngMu.Lock()
-	if src.cfg.LossRate > 0 && src.rng.Bool(src.cfg.LossRate) {
-		src.rngMu.Unlock()
-		src.mu.Lock()
-		src.dropped++
-		src.mu.Unlock()
+	delay, dup, ok := src.draw(from, to)
+	if !ok {
 		return
 	}
-	delay := src.cfg.BaseLatency
-	if src.cfg.Jitter > 0 {
-		delay += time.Duration(src.rng.Uint64n(uint64(src.cfg.Jitter)))
+	// Injectors only add delay (fault.Engine's Extra is never negative), so
+	// every record still lands at least the lookahead after its send; Flush
+	// asserts it.
+	at := src.clock.Now().UnixNano() + int64(delay)
+	p.enqueue(src, at, src.record(p.subs[dst], from, to, payload))
+	if dup > 0 {
+		// An injector-duplicated datagram is a second hand-off record.
+		p.enqueue(src, at+int64(dup), src.record(p.subs[dst], from, to, payload))
 	}
-	src.rngMu.Unlock()
+}
 
-	d := src.getDelivery()
-	d.net, d.from, d.to = p.subs[dst], from, to
-	d.msg = append(d.msg[:0], payload...)
+// enqueue appends one hand-off record to the source shard's outbox.
+func (p *Partition) enqueue(src *Network, at int64, d *delivery) {
 	box := &p.outboxes[src.shard]
 	if len(box.recs) == cap(box.recs) {
 		box.grows++ // steady state keeps the high-water array; see MergeAllocs
 	}
-	box.recs = append(box.recs, handoff{
-		at:  src.clock.Now().UnixNano() + int64(delay),
-		src: src.shard,
-		seq: box.seq,
-		d:   d,
-	})
+	box.recs = append(box.recs, handoff{at: at, src: src.shard, seq: box.seq, d: d})
 	box.seq++
 }
 

@@ -196,6 +196,66 @@ func TestPartitionDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// scriptInjector replays a fixed verdict list, then passes everything,
+// counting its calls.
+type scriptInjector struct {
+	verdicts []Verdict
+	calls    int
+}
+
+func (s *scriptInjector) Judge(time.Time, transport.Addr, transport.Addr) Verdict {
+	var v Verdict
+	if s.calls < len(s.verdicts) {
+		v = s.verdicts[s.calls]
+	}
+	s.calls++
+	return v
+}
+
+// TestPartitionInjectorJudgesHandoffs checks fault injection composes with
+// the partition: the source shard's injector rules on every cross-shard
+// datagram after the loss/jitter draws, and each verdict applies — a drop
+// is counted, extra delay shifts the hand-off record, and a duplicate
+// becomes a second record trailing the first. Shared injectors are
+// rejected: concurrent shard loops would race on their state.
+func TestPartitionInjectorJudgesHandoffs(t *testing.T) {
+	if _, err := NewPartition([]sim.Clock{sim.NewSimulator()}, Config{BaseLatency: time.Millisecond, Inject: &scriptInjector{}}); err == nil {
+		t.Fatal("Config.Inject shared across shards accepted")
+	}
+	sims, p, l := newTestPartition(t, 2, Config{BaseLatency: time.Millisecond})
+	src := &scriptInjector{verdicts: []Verdict{
+		{Drop: true},
+		{Extra: 2 * time.Millisecond},
+		{DupExtra: 3 * time.Millisecond},
+	}}
+	dst := &scriptInjector{}
+	p.SetInjector(0, src)
+	p.SetInjector(1, dst)
+	a := p.Endpoint(0, "a")
+	b := p.Endpoint(1, "b")
+	start := sims[0].Now()
+	var got []string
+	b.SetHandler(func(_ transport.Addr, payload []byte) {
+		got = append(got, fmt.Sprintf("%d@%v", payload[0], sims[1].Now().Sub(start)))
+	})
+	for i := byte(0); i < 4; i++ {
+		if err := a.Send("b", []byte{i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.RunFor(time.Second)
+	want := []string{"2@1ms", "3@1ms", "1@3ms", "2@4ms"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("arrivals %v, want %v", got, want)
+	}
+	if sent, delivered, dropped := p.Stats(); sent != 4 || delivered != 4 || dropped != 1 {
+		t.Errorf("stats sent=%d delivered=%d dropped=%d, want 4/4/1", sent, delivered, dropped)
+	}
+	if src.calls != 4 || dst.calls != 0 {
+		t.Errorf("injector calls: source %d, destination %d; want 4, 0", src.calls, dst.calls)
+	}
+}
+
 // TestPartitionSingleShardMatchesPlainNetwork checks a one-shard partition
 // reproduces the plain fabric byte for byte: same seed, same jitter and loss
 // draws, same delivery trace. This is the compatibility contract that lets

@@ -30,10 +30,8 @@ type Config struct {
 	// uniform loss/jitter model: correlated drops, extra delay, duplication
 	// (see internal/fault). Judge calls are serialized under the network's
 	// RNG lock, in the same order as the loss/jitter draws, so a
-	// deterministic injector keeps the fabric byte-deterministic. Not
-	// supported by the partition engine (NewPartition rejects it): the
-	// cross-shard hand-off path bypasses the local send path, so an
-	// injector would see only a shard-dependent subset of traffic.
+	// deterministic injector keeps the fabric byte-deterministic. A
+	// Partition takes one injector per shard instead (SetInjector).
 	Inject Injector
 }
 
@@ -261,51 +259,50 @@ func (n *Network) send(from transport.Addr, to transport.Addr, payload []byte) {
 	}
 	n.mu.Unlock()
 
-	n.rngMu.Lock()
-	if n.cfg.LossRate > 0 && n.rng.Bool(n.cfg.LossRate) {
-		n.rngMu.Unlock()
-		n.mu.Lock()
-		n.dropped++
-		n.mu.Unlock()
+	delay, dup, ok := n.draw(from, to)
+	if !ok {
 		return
 	}
-	delay := n.cfg.BaseLatency
-	if n.cfg.Jitter > 0 {
-		delay += time.Duration(n.rng.Uint64n(uint64(n.cfg.Jitter)))
-	}
-	var dup time.Duration
-	if n.cfg.Inject != nil {
-		v := n.cfg.Inject.Judge(n.clock.Now(), from, to)
-		if v.Drop {
-			n.rngMu.Unlock()
-			n.mu.Lock()
-			n.dropped++
-			n.mu.Unlock()
-			return
-		}
-		delay += v.Extra
-		dup = v.DupExtra
-	}
-	n.rngMu.Unlock()
-
 	// Copy the payload into a pooled delivery record: the sender may reuse
 	// its buffer the moment Send returns, and the record (buffer included)
 	// is reclaimed once the handler returns (handlers copy what they keep,
 	// per the transport contract). Scheduling through ScheduleArg with the
 	// package-level deliver function makes the steady-state per-message
 	// path allocation-free: no payload garbage, no closure, no timer box.
-	d := n.getDelivery()
-	d.net, d.from, d.to = n, from, to
-	d.msg = append(d.msg[:0], payload...)
-	sim.ScheduleArg(n.clock, delay, deliver, d)
+	sim.ScheduleArg(n.clock, delay, deliver, n.record(n, from, to, payload))
 	if dup > 0 {
 		// An injector-duplicated datagram: a second pooled record trailing
 		// the first, each releasing independently after its own handler call.
-		d2 := n.getDelivery()
-		d2.net, d2.from, d2.to = n, from, to
-		d2.msg = append(d2.msg[:0], payload...)
-		sim.ScheduleArg(n.clock, delay+dup, deliver, d2)
+		sim.ScheduleArg(n.clock, delay+dup, deliver, n.record(n, from, to, payload))
 	}
+}
+
+// draw makes one datagram's random decisions under the RNG lock: uniform
+// loss, then jitter, then the injector's verdict. A drop is counted and
+// reported as ok=false; otherwise delay is the delivery delay and dup, when
+// positive, how long an injected duplicate trails the original.
+func (n *Network) draw(from, to transport.Addr) (delay, dup time.Duration, ok bool) {
+	n.rngMu.Lock()
+	drop := n.cfg.LossRate > 0 && n.rng.Bool(n.cfg.LossRate)
+	if !drop {
+		delay = n.cfg.BaseLatency
+		if n.cfg.Jitter > 0 {
+			delay += time.Duration(n.rng.Uint64n(uint64(n.cfg.Jitter)))
+		}
+		if n.cfg.Inject != nil {
+			v := n.cfg.Inject.Judge(n.clock.Now(), from, to)
+			drop, dup = v.Drop, v.DupExtra
+			delay += v.Extra
+		}
+	}
+	n.rngMu.Unlock()
+	if drop {
+		n.mu.Lock()
+		n.dropped++
+		n.mu.Unlock()
+		return 0, 0, false
+	}
+	return delay, dup, true
 }
 
 // delivery is one in-flight datagram: a recycled record carrying its own
@@ -316,12 +313,14 @@ type delivery struct {
 	msg      []byte
 }
 
-// getDelivery pops a record from this network's freelist (or allocates).
-// Records recycle per network rather than through a global sync.Pool so
-// their payload buffers survive garbage collections; cross-shard records
-// are popped from the sending shard and released to the receiving one,
-// which balances out for the roughly symmetric traffic of a DHT.
-func (n *Network) getDelivery() *delivery {
+// record pops a delivery record from this network's freelist (or
+// allocates) and fills it with a copy of the datagram, addressed for
+// delivery on dst. Records recycle per network rather than through a global
+// sync.Pool so their payload buffers survive garbage collections;
+// cross-shard records are popped from the sending shard and released to the
+// receiving one, which balances out for the roughly symmetric traffic of a
+// DHT.
+func (n *Network) record(dst *Network, from, to transport.Addr, payload []byte) *delivery {
 	n.mu.Lock()
 	var d *delivery
 	if k := len(n.dlvFree); k > 0 {
@@ -333,6 +332,8 @@ func (n *Network) getDelivery() *delivery {
 	if d == nil {
 		d = new(delivery)
 	}
+	d.net, d.from, d.to = dst, from, to
+	d.msg = append(d.msg[:0], payload...)
 	return d
 }
 

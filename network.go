@@ -127,9 +127,8 @@ type NetworkConfig struct {
 	// Elliott burst loss, timed bisection partitions, or crash-restart
 	// flapping (see internal/fault). FaultNone (the default) constructs no
 	// engine at all, so default runs keep their historical byte-exact event
-	// sequences. Fault profiles require the single event loop: the
-	// partition engine's cross-shard hand-off path bypasses the fabric
-	// injector.
+	// sequences. Each partition shard runs its own engine, which judges
+	// every datagram the shard sends, local or cross-shard.
 	Fault fault.Profile
 	// FaultSeverity in [0,1] scales the fault regime's intensity; zero
 	// makes any profile a no-op (and constructs no engine).
@@ -146,10 +145,11 @@ type NetworkConfig struct {
 	// merged at epoch barriers in a fixed order — the scaling mode for
 	// populations one core's event loop cannot hold. A node's shard is a
 	// pure function of its DHT identifier (dht.ID.Shard), so churn
-	// replacements stay on their predecessor's shard. Zero keeps the
-	// historical single event loop; 1 runs the partition machinery with one
-	// shard, which is byte-identical to the single loop. Results are
-	// byte-deterministic at any worker count or GOMAXPROCS.
+	// replacements stay on their predecessor's shard. Zero and 1 both run
+	// one loop and produce identical runs; zero additionally reports zero
+	// LoopStats, so a point that never asked for partitioning carries no
+	// loop-stat columns. Results are byte-deterministic at any worker count
+	// or GOMAXPROCS. The eclipse forger (ForgeRate > 0) needs one loop.
 	Partition int
 	// PartitionWorkers caps how many shard loops run concurrently within an
 	// epoch (0 = GOMAXPROCS). Execution throttle only: results are
@@ -181,9 +181,9 @@ func (c NetworkConfig) withDefaults() (NetworkConfig, error) {
 		return c, fmt.Errorf("selfemerge: malicious rate %v outside [0,1]", c.MaliciousRate)
 	}
 	if c.Latency < 0 {
-		// A negative latency would schedule deliveries into the past on the
-		// single loop and corrupt the partition engine's lookahead; zero is
-		// a defaulting request, negative is always a caller bug.
+		// A negative latency would schedule deliveries into the past and
+		// corrupt the lockstep lookahead; zero is a defaulting request,
+		// negative is always a caller bug.
 		return c, fmt.Errorf("selfemerge: negative latency %v", c.Latency)
 	}
 	if c.Latency == 0 {
@@ -209,24 +209,16 @@ func (c NetworkConfig) withDefaults() (NetworkConfig, error) {
 	if c.Partition < 0 {
 		return c, fmt.Errorf("selfemerge: negative partition count %d", c.Partition)
 	}
-	if c.Partition > 0 && c.ForgeRate > 0 {
-		// The eclipse forger is a global actor ticking on the single
-		// simulator and reading zone intelligence as it is collected; under
-		// the partition engine reports are deferred to epoch barriers, which
-		// would shift its observations. Eclipse measurements stay on the
-		// single loop (or replicate-mode sharding).
-		return c, errors.New("selfemerge: ForgeRate requires the single event loop, not Partition")
+	if c.Partition > 1 && c.ForgeRate > 0 {
+		// The eclipse forger is a global actor ticking on shard 0's loop and
+		// reading zone intelligence as it is collected; across several loops
+		// reports are deferred to epoch barriers, which would shift its
+		// observations. Eclipse measurements stay on one loop (or
+		// replicate-mode sharding).
+		return c, errors.New("selfemerge: ForgeRate requires one event loop, not Partition > 1")
 	}
 	if err := (fault.Config{Profile: c.Fault, Severity: c.FaultSeverity}).Validate(); err != nil {
 		return c, err
-	}
-	if c.Partition > 0 && c.Fault != fault.ProfileNone && c.FaultSeverity > 0 {
-		// The fault injector hooks the single fabric's send path; the
-		// partition engine's cross-shard hand-offs bypass it, so a sharded
-		// run would inject faults on a shard-dependent subset of traffic.
-		// Fault measurements stay on the single loop (or replicate-mode
-		// sharding, where each replica network carries its own engine).
-		return c, errors.New("selfemerge: fault profiles require the single event loop, not Partition")
 	}
 	if c.Retry < 0 {
 		return c, fmt.Errorf("selfemerge: negative retry attempts %d", c.Retry)
@@ -240,36 +232,33 @@ func (c NetworkConfig) withDefaults() (NetworkConfig, error) {
 // drive; create one per experiment.
 type Network struct {
 	cfg       NetworkConfig
-	simulator *sim.Simulator
-	fabric    *simnet.Network
 	cloudSt   *cloud.Store
 	collector *adversary.Collector
 	rng       *stats.RNG
-	churnProc *churn.Process
 
-	// Partition mode (cfg.Partition >= 1): per-shard event loops advancing
-	// in lockstep, the partitioned fabric, and the per-shard state that
-	// keeps concurrent shard loops deterministic — a churn process and a
-	// replacement-marking RNG per shard (shard 0 aliases the classic
-	// rng/seed streams, so a one-shard partition replays the single-loop
-	// run byte for byte), plus per-shard adversary report queues drained at
-	// barriers. simulator aliases sims[0]: its clock is the barrier time.
+	// The event loops: max(1, Partition) shard simulators advancing in
+	// lockstep over the partitioned fabric, plus the per-shard state that
+	// keeps concurrent shard loops deterministic — a replacement-marking RNG,
+	// a churn process and a fault engine per shard (shard 0 keeps the
+	// historical rng and seed streams, so a one-loop network replays the
+	// recorded runs byte for byte), and, with more than one loop, per-shard
+	// adversary report queues drained at barriers.
 	sims       []*sim.Simulator
 	lockstep   *sim.Lockstep
 	partFab    *simnet.Partition
 	shardRng   []*stats.RNG
-	shardChurn []*churn.Process
-	reports    []reportQueue
+	shardChurn []*churn.Process // nil without churn
+	// faults is nil unless an active fault profile is configured (the Forger
+	// pattern: constructed only when enabled, so default runs add no RNG
+	// draws and no events).
+	faults  []*fault.Engine
+	reports []reportQueue
 	// cryptoSrc feeds every sender-side cryptographic draw; sender wraps it
 	// for mission construction. Seed-derived ChaCha8 by default, crypto/rand
 	// with SystemRand.
 	cryptoSrc io.Reader
 	sender    *protocol.Sender
 	forger    *adversary.Forger
-	// faultEng drives correlated faults on the single fabric; nil unless an
-	// active fault profile is configured (the Forger pattern: constructed
-	// only when enabled, so default runs add no RNG draws and no events).
-	faultEng *fault.Engine
 
 	nodes    []*dht.Node
 	receiver *dht.Node
@@ -315,80 +304,72 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		Seed:         cfg.Seed + 2,
 	}
 	churnEnabled := cfg.MeanLifetime > 0 || (cfg.MeanUptime > 0 && cfg.MeanDowntime > 0)
-	if cfg.Partition > 0 {
-		// Partition mode: one event loop, fabric slice, churn process and
-		// replacement RNG per shard. Shard 0 keeps every historical seed
-		// derivation (fabric Seed+1, churn Seed+2, the shared structural
-		// rng), so Partition: 1 replays the classic run byte for byte;
-		// higher shards draw decorrelated substreams.
-		n.sims = make([]*sim.Simulator, cfg.Partition)
-		clocks := make([]sim.Clock, cfg.Partition)
-		for i := range n.sims {
-			n.sims[i] = sim.NewSimulator()
-			clocks[i] = n.sims[i]
-		}
-		n.simulator = n.sims[0]
-		part, err := simnet.NewPartition(clocks, simnet.Config{BaseLatency: cfg.Latency, Seed: cfg.Seed + 1})
-		if err != nil {
-			return nil, err
-		}
-		n.partFab = part
-		n.reports = make([]reportQueue, cfg.Partition)
-		n.shardRng = make([]*stats.RNG, cfg.Partition)
-		n.shardRng[0] = n.rng
-		for i := 1; i < cfg.Partition; i++ {
-			n.shardRng[i] = stats.NewRNG(stats.Mix64(cfg.Seed+3, uint64(i)))
-		}
-		if churnEnabled {
-			n.shardChurn = make([]*churn.Process, cfg.Partition)
-			for i := range n.shardChurn {
-				sub := churnCfg
-				if i > 0 {
-					sub.Seed = stats.Mix64(cfg.Seed+2, uint64(i))
-				}
-				n.shardChurn[i] = churn.New(n.sims[i], sub)
+	// One event loop, fabric slice, churn process, replacement RNG and fault
+	// engine per shard. Shard 0 keeps every historical seed derivation
+	// (fabric Seed+1, churn Seed+2, fault Mix64(Seed, 0xfa177), the shared
+	// structural rng); higher shards draw decorrelated substreams.
+	shards := max(1, cfg.Partition)
+	n.sims = make([]*sim.Simulator, shards)
+	clocks := make([]sim.Clock, shards)
+	for i := range n.sims {
+		n.sims[i] = sim.NewSimulator()
+		clocks[i] = n.sims[i]
+	}
+	part, err := simnet.NewPartition(clocks, simnet.Config{BaseLatency: cfg.Latency, Seed: cfg.Seed + 1})
+	if err != nil {
+		return nil, err
+	}
+	n.partFab = part
+	n.reports = make([]reportQueue, shards)
+	n.shardRng = make([]*stats.RNG, shards)
+	n.shardRng[0] = n.rng
+	for i := 1; i < shards; i++ {
+		n.shardRng[i] = stats.NewRNG(stats.Mix64(cfg.Seed+3, uint64(i)))
+	}
+	if churnEnabled {
+		n.shardChurn = make([]*churn.Process, shards)
+		for i := range n.shardChurn {
+			sub := churnCfg
+			if i > 0 {
+				sub.Seed = stats.Mix64(cfg.Seed+2, uint64(i))
 			}
+			n.shardChurn[i] = churn.New(n.sims[i], sub)
 		}
-		if err := part.CheckLookahead(part.Lookahead()); err != nil {
-			return nil, err
-		}
-		n.lockstep = &sim.Lockstep{
-			Sims:      n.sims,
-			Lookahead: part.Lookahead(),
-			Workers:   cfg.PartitionWorkers,
-			Exchange:  n.exchange,
-			Release:   n.releaseReports,
-		}
-	} else {
-		n.simulator = sim.NewSimulator()
-		fabCfg := simnet.Config{BaseLatency: cfg.Latency, Seed: cfg.Seed + 1}
-		if cfg.Fault != fault.ProfileNone && cfg.FaultSeverity > 0 {
-			// Only active fault runs construct the engine (the Forger
-			// pattern): a constructed-but-idle engine would still be consulted
-			// per datagram and could shift allocation behavior. The seed is a
-			// decorrelated substream of the point seed, so the fault schedule
-			// never re-samples fabric or churn draws.
-			eng, err := fault.New(fault.Config{
-				Profile:  cfg.Fault,
-				Severity: cfg.FaultSeverity,
-				Seed:     stats.Mix64(cfg.Seed, 0xfa177),
-			})
+	}
+	if cfg.Fault != fault.ProfileNone && cfg.FaultSeverity > 0 {
+		// Only active fault runs construct engines (the Forger pattern): an
+		// idle engine would still be consulted per datagram. The seeds are
+		// decorrelated substreams of the point seed, so the fault schedule
+		// never re-samples fabric or churn draws.
+		n.faults = make([]*fault.Engine, shards)
+		for i := range n.faults {
+			seed := stats.Mix64(cfg.Seed, 0xfa177)
+			if i > 0 {
+				seed = stats.Mix64(seed, uint64(i))
+			}
+			eng, err := fault.New(fault.Config{Profile: cfg.Fault, Severity: cfg.FaultSeverity, Seed: seed})
 			if err != nil {
 				return nil, err
 			}
-			n.faultEng = eng
-			fabCfg.Inject = eng
+			n.faults[i] = eng
+			part.SetInjector(i, eng)
 		}
-		n.fabric = simnet.New(n.simulator, fabCfg)
-		if churnEnabled {
-			n.churnProc = churn.New(n.simulator, churnCfg)
-		}
+	}
+	if err := part.CheckLookahead(part.Lookahead()); err != nil {
+		return nil, err
+	}
+	n.lockstep = &sim.Lockstep{
+		Sims:      n.sims,
+		Lookahead: part.Lookahead(),
+		Workers:   cfg.PartitionWorkers,
+		Exchange:  n.exchange,
+		Release:   n.releaseReports,
 	}
 
 	if cfg.Attack == adversary.StrategyEclipse && cfg.ForgeRate > 0 {
 		// Only eclipse runs construct the forger: its tick events and RNG
 		// draws would otherwise shift every honest run's event sequence.
-		n.forger = adversary.NewForger(n.simulator, cfg.ForgeRate, stats.Mix64(cfg.Seed, 0xf049e))
+		n.forger = adversary.NewForger(n.sims[0], cfg.ForgeRate, stats.Mix64(cfg.Seed, 0xf049e))
 		n.collector.SetZoneSink(n.forger.ObserveZone)
 	}
 
@@ -410,41 +391,6 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	// event queue would fast-forward through every scheduled churn death.
 	n.RunFor(time.Minute)
 	return n, nil
-}
-
-// shardOf maps a node identifier to its owning shard (always 0 on the
-// classic single loop).
-func (n *Network) shardOf(id dht.ID) int {
-	if n.partFab == nil {
-		return 0
-	}
-	return id.Shard(n.partFab.Shards())
-}
-
-// clockOf returns the event loop a shard's nodes run on.
-func (n *Network) clockOf(shard int) *sim.Simulator {
-	if n.sims != nil {
-		return n.sims[shard]
-	}
-	return n.simulator
-}
-
-// churnOf returns the churn process driving a shard's deaths and flapping
-// (nil when churn is disabled).
-func (n *Network) churnOf(shard int) *churn.Process {
-	if n.shardChurn != nil {
-		return n.shardChurn[shard]
-	}
-	return n.churnProc
-}
-
-// rngOf returns the RNG for a shard's post-boot structural draws
-// (replacement maliciousness marking).
-func (n *Network) rngOf(shard int) *stats.RNG {
-	if n.shardRng != nil {
-		return n.shardRng[shard]
-	}
-	return n.rng
 }
 
 // reportQueue collects one shard's malicious-holder observations during an
@@ -573,14 +519,9 @@ func (n *Network) addNode(idx int, malicious bool) error {
 // predecessor there), and, for churn-eligible slots, schedules its death
 // and replacement.
 func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool) error {
-	shard := n.shardOf(id)
-	clock := n.clockOf(shard)
-	var ep transport.Endpoint
-	if n.partFab != nil {
-		ep = n.partFab.Endpoint(shard, addr)
-	} else {
-		ep = n.fabric.Endpoint(addr)
-	}
+	shard := id.Shard(len(n.sims))
+	clock := n.sims[shard]
+	ep := n.partFab.Endpoint(shard, addr)
 	var onSecret func(protocol.MissionID, []byte)
 	if idx == 1 {
 		// Only the receiver's deliveries count: a stray PkSecret landing on
@@ -599,10 +540,11 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 		}
 	}
 	var reporter protocol.Reporter = n.collector
-	if n.partFab != nil {
+	if len(n.sims) > 1 {
 		// Concurrent shard loops reporting straight into the collector would
 		// interleave nondeterministically: queue per shard instead and merge
-		// at epoch barriers in (time, shard, seq) order.
+		// at epoch barriers in (time, shard, seq) order. One loop reports
+		// directly, keeping the forger's zone intel in step with the run.
 		reporter = shardReporter{n: n, shard: shard}
 	}
 	host := protocol.NewHost(protocol.HostConfig{
@@ -648,29 +590,24 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 	// (node 1) and dispatcher (node 2) are exempt so experiments can always
 	// launch missions and observe outcomes — the model's honest, stable
 	// endpoints.
-	proc := n.churnOf(shard)
 	if idx <= 2 {
 		return nil
 	}
 	// Crash-restart windows (ProfileFlap): the endpoint goes transport-down
 	// for a sojourn and comes back with routing table, stored values and
 	// held custody intact — unlike a churn death, which closes the node and
-	// spawns a wiped replacement. The schedule is a pure function of
-	// (fault seed, address). Fault profiles run on the single loop only, so
-	// n.fabric is always the live fabric here.
+	// spawns a wiped replacement. The schedule is a pure function of the
+	// owning shard's fault seed and the address, and runs on that shard's
+	// loop.
 	stopCrash := func() {}
-	if n.faultEng != nil {
-		stopCrash = n.faultEng.ManageCrashes(clock, addr, func(down bool) { n.fabric.SetDown(addr, down) })
+	if n.faults != nil {
+		stopCrash = n.faults[shard].ManageCrashes(clock, addr, func(down bool) { n.partFab.SetDown(addr, down) })
 	}
-	if proc == nil {
+	if n.shardChurn == nil {
 		return nil
 	}
-	var stopFlap func()
-	if n.partFab != nil {
-		stopFlap = n.partFab.ApplyChurn(addr, proc)
-	} else {
-		stopFlap = n.fabric.ApplyChurn(addr, proc)
-	}
+	proc := n.shardChurn[shard]
+	stopFlap := n.partFab.ApplyChurn(addr, proc)
 	proc.ScheduleDeath(func() {
 		stopFlap()
 		stopCrash()
@@ -702,7 +639,7 @@ func (n *Network) join(addr transport.Addr, id dht.ID, idx int) {
 	// The maliciousness draw comes from the joining node's shard RNG: the
 	// death event runs on that shard's loop, and a shared RNG across
 	// concurrent loops would make the marking sequence depend on scheduling.
-	if err := n.spawn(addr, id, idx, n.rngOf(n.shardOf(id)).Bool(n.cfg.MaliciousRate)); err != nil {
+	if err := n.spawn(addr, id, idx, n.shardRng[id.Shard(len(n.sims))].Bool(n.cfg.MaliciousRate)); err != nil {
 		// Unreachable by construction: spawn only fails on a nil
 		// endpoint/clock or zero ID, and a replacement reuses a valid ID on
 		// a fresh endpoint. If it ever fires, the joins counter diverging
@@ -775,47 +712,31 @@ func (n *Network) ResilienceStats() dht.Resilience {
 
 // FabricStats reports transport-level (sent, delivered, dropped) datagram
 // counts.
-func (n *Network) FabricStats() (sent, delivered, dropped int) {
-	if n.partFab != nil {
-		return n.partFab.Stats()
-	}
-	return n.fabric.Stats()
-}
+func (n *Network) FabricStats() (sent, delivered, dropped int) { return n.partFab.Stats() }
 
 // LoopStats reports the partition engine's event-loop counters: epoch
 // barriers executed, epochs with at most one busy shard (the adaptive
 // bound's inline fast-forwards), and hand-off outbox capacity growths. All
 // three are pure functions of the configuration and seed — independent of
-// GOMAXPROCS and worker counts — which is what lets CI gate them. Zero in
-// classic (non-partitioned) mode.
+// GOMAXPROCS and worker counts — which is what lets CI gate them. Zero for
+// Partition: 0, which runs the same one loop as Partition: 1 but keeps the
+// counters off the points that never asked for partitioning.
 func (n *Network) LoopStats() (epochs, idleSkips, mergeAllocs uint64) {
-	if n.lockstep == nil {
+	if n.cfg.Partition == 0 {
 		return 0, 0, 0
 	}
 	return n.lockstep.Epochs(), n.lockstep.IdleSkips(), n.partFab.MergeAllocs()
 }
 
-// Now returns the current simulated time. In partition mode this is the
-// barrier time: between Run calls every shard clock agrees.
-func (n *Network) Now() time.Time { return n.simulator.Now() }
+// Now returns the current simulated time: the barrier time, at which every
+// shard clock agrees between Run calls.
+func (n *Network) Now() time.Time { return n.lockstep.Now() }
 
 // RunFor advances simulated time by d, executing all due events.
-func (n *Network) RunFor(d time.Duration) {
-	if n.lockstep != nil {
-		n.lockstep.RunFor(d)
-		return
-	}
-	n.simulator.RunFor(d)
-}
+func (n *Network) RunFor(d time.Duration) { n.lockstep.RunFor(d) }
 
 // RunUntil advances simulated time to the given instant.
-func (n *Network) RunUntil(t time.Time) {
-	if n.lockstep != nil {
-		n.lockstep.RunUntil(t)
-		return
-	}
-	n.simulator.RunUntil(t)
-}
+func (n *Network) RunUntil(t time.Time) { n.lockstep.RunUntil(t) }
 
 // Settle flushes in-flight traffic by advancing simulated time a few
 // minutes. It deliberately does not drain the whole event queue: with churn

@@ -294,6 +294,10 @@ func TestNetworkValidation(t *testing.T) {
 	if _, err := NewNetwork(NetworkConfig{Nodes: 10, Attack: AttackEclipse, ForgeRate: -1}); err == nil {
 		t.Error("negative forge rate accepted")
 	}
+	// The forger reads zone intel mid-epoch, so it needs one event loop.
+	if _, err := NewNetwork(NetworkConfig{Nodes: 10, Attack: AttackEclipse, ForgeRate: 1, Partition: 2}); err == nil {
+		t.Error("forge rate with Partition 2 accepted")
+	}
 }
 
 func TestMessageAccessors(t *testing.T) {
