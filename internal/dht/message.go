@@ -117,20 +117,16 @@ func DecodeMessageInto(m *Message, data []byte) error {
 	return decodeMessageInto(m, data, nil)
 }
 
-// decodeMessageInto is the decode core; intern (optional) maps raw contact
-// address bytes to an Addr, letting receive loops reuse interned strings
-// instead of allocating one per contact per datagram. An interned decode is
-// the receive-loop form, and the receive loop trusts the socket-level
-// source address over the claimed one — so it leaves From.Addr empty for
-// the caller to fill, neither converting the claimed bytes (an allocation
-// per datagram) nor admitting them into the bounded intern table (which a
-// flood of forged From addresses could otherwise fill, disabling interning
-// for legitimate contact addresses).
-func decodeMessageInto(m *Message, data []byte, intern func([]byte) transport.Addr) error {
-	trustClaimedFrom := intern == nil
-	if intern == nil {
-		intern = func(b []byte) transport.Addr { return transport.Addr(b) }
-	}
+// decodeMessageInto is the decode core. A nil intern is the plain form:
+// every address field converts its bytes. A non-nil intern is the receive-
+// loop form: contact addresses come from the interner, sparing one string
+// allocation per contact per datagram, and the receive loop trusts the
+// socket-level source address over the claimed one — so From.Addr is left
+// empty for the caller to fill, neither converting the claimed bytes (an
+// allocation per datagram) nor admitting them into the bounded interner
+// (which a flood of forged From addresses could otherwise fill, disabling
+// interning for legitimate contact addresses).
+func decodeMessageInto(m *Message, data []byte, intern *AddrInterner) error {
 	r := wireReader{buf: data}
 	magic, err := r.uint16()
 	if err != nil || magic != wireMagic {
@@ -158,7 +154,7 @@ func decodeMessageInto(m *Message, data []byte, intern func([]byte) transport.Ad
 	if err != nil {
 		return ErrWire
 	}
-	if trustClaimedFrom {
+	if intern == nil {
 		m.From.Addr = transport.Addr(addr)
 	} else {
 		m.From.Addr = ""
@@ -196,7 +192,7 @@ func decodeMessageInto(m *Message, data []byte, intern func([]byte) transport.Ad
 		if err != nil {
 			return ErrWire
 		}
-		c.Addr = intern(caddr)
+		c.Addr = intern.Intern(caddr)
 		m.Contacts = append(m.Contacts, c)
 	}
 	if m.Value, err = r.bytes32(); err != nil {

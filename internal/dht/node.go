@@ -43,6 +43,13 @@ type Config struct {
 	Retry RetryPolicy
 	// StaleAfter is the bucket-eviction staleness threshold (default 10m).
 	StaleAfter time.Duration
+	// Interner canonicalizes the contact addresses the node decodes. Nodes
+	// whose handlers all run on one goroutine in turn (the nodes of one
+	// simulator event loop) may share one, so each distinct address is
+	// stored once for the loop rather than once per node. It is not safe
+	// for concurrent use. Nil gives the node its own, bounded at
+	// DefaultInternBound.
+	Interner *AddrInterner
 	// Table selects the full-bucket admission policy. TableDefault resolves
 	// to TablePingEvict: the library is eclipse-resistant unless a caller
 	// explicitly opts into the naive policy (the adversary experiments do,
@@ -92,16 +99,12 @@ type Node struct {
 	table *Table
 
 	// Receive-path scratch: handlers are invoked serially per endpoint (the
-	// transport contract), so one decode Message, one reply contact buffer
-	// and one address intern table per node serve every inbound datagram
-	// without allocating. The intern table maps raw address bytes to their
-	// canonical string, sparing one string allocation per contact per
-	// datagram; it is bounded, so a flood of unique addresses degrades to
-	// plain allocation instead of growing it without limit.
+	// transport contract), so one decode Message and one reply contact
+	// buffer per node serve every inbound datagram without allocating.
+	// intern is cfg.Interner, or the node's own when none is shared.
 	rx         Message
 	rxContacts []Contact
-	addrIntern addrTable
-	internFn   func([]byte) transport.Addr
+	intern     *AddrInterner
 
 	// appSeen dedups acked app payloads by (sender, RPCID): a retrying or
 	// fault-duplicated sender may deliver one payload several times. Only
@@ -291,7 +294,9 @@ func NewNode(cfg Config) (*Node, error) {
 		pending: make(map[uint64]*pendingRPC),
 		values:  make(map[ID]storedValue),
 	}
-	n.internFn = n.internAddr
+	if n.intern = cfg.Interner; n.intern == nil {
+		n.intern = NewAddrInterner(DefaultInternBound)
+	}
 	if cfg.Retry.enabled() {
 		n.retryRng = stats.NewRNG(retrySeed(cfg.ID))
 	}
@@ -303,89 +308,6 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	cfg.Endpoint.SetHandler(n.handle)
 	return n, nil
-}
-
-// maxInternedAddrs bounds the receive-path address intern table.
-const maxInternedAddrs = 1 << 16
-
-// addrTable is the receive path's open-addressing address interner: raw
-// address bytes hash (FNV-1a) to their canonical string. A contact decode is
-// one short hash and usually one slot probe — measurably cheaper than a
-// map[string]Addr lookup, which pays full map machinery per contact on the
-// hottest path in the simulator. Entries are never deleted.
-type addrTable struct {
-	slots []addrSlot // power-of-two length
-	used  int
-}
-
-type addrSlot struct {
-	hash uint64 // 0 = empty (occupied hashes are forced nonzero)
-	addr transport.Addr
-}
-
-func hashAddr(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	if h == 0 {
-		h = 1
-	}
-	return h
-}
-
-// internAddr returns the canonical Addr for raw address bytes, remembering
-// it for future datagrams. Only the handle path uses it, which runs
-// serially, so the table needs no lock.
-func (n *Node) internAddr(b []byte) transport.Addr {
-	t := &n.addrIntern
-	h := hashAddr(b)
-	if t.used > 0 {
-		mask := len(t.slots) - 1
-		for i := int(h) & mask; ; i = (i + 1) & mask {
-			sl := &t.slots[i]
-			if sl.hash == 0 {
-				break
-			}
-			if sl.hash == h && string(sl.addr) == string(b) {
-				return sl.addr
-			}
-		}
-	}
-	a := transport.Addr(b)
-	if t.used >= maxInternedAddrs {
-		// Bounded: a flood of unique addresses degrades to plain
-		// allocation instead of growing the table without limit.
-		return a
-	}
-	if 4*(t.used+1) > 3*len(t.slots) {
-		old := t.slots
-		size := 2 * len(old)
-		if size == 0 {
-			size = 32
-		}
-		t.slots = make([]addrSlot, size)
-		mask := size - 1
-		for i := range old {
-			if old[i].hash == 0 {
-				continue
-			}
-			j := int(old[i].hash) & mask
-			for t.slots[j].hash != 0 {
-				j = (j + 1) & mask
-			}
-			t.slots[j] = old[i]
-		}
-	}
-	mask := len(t.slots) - 1
-	i := int(h) & mask
-	for t.slots[i].hash != 0 {
-		i = (i + 1) & mask
-	}
-	t.slots[i] = addrSlot{hash: h, addr: a}
-	t.used++
-	return a
 }
 
 // ID returns the node identifier.
@@ -436,7 +358,7 @@ func (n *Node) Close() error {
 // only until handle returns; consumers that keep bytes must copy them.
 func (n *Node) handle(from transport.Addr, data []byte) {
 	msg := &n.rx
-	if err := decodeMessageInto(msg, data, n.internFn); err != nil {
+	if err := decodeMessageInto(msg, data, n.intern); err != nil {
 		return // malformed datagram: drop, like any UDP service
 	}
 	if msg.From.ID == n.cfg.ID {

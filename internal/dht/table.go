@@ -103,6 +103,9 @@ type Table struct {
 	// so the selection scan walks the ~log2(N) populated buckets directly
 	// instead of testing all IDBits lengths per call. Guarded by mu.
 	occupied [(IDBits + 63) / 64]uint64
+	// scratch is the selection buffer (see selectClosest); guarded by mu,
+	// it keeps its capacity across calls.
+	scratch []pick
 }
 
 // setOccupied resyncs bucket idx's occupancy bit. Callers hold t.mu and call
@@ -320,7 +323,7 @@ func (t *Table) Remove(id ID) {
 }
 
 // ranked is one selection candidate: the contact plus its XOR distance from
-// the target packed into big-endian uint64/uint32 lanes, so every heap
+// the target packed into big-endian uint64/uint32 lanes, so every ordering
 // comparison is at most three integer compares instead of a 20-byte
 // memcompare over materialized distance arrays.
 type ranked struct {
@@ -340,18 +343,6 @@ func (a ranked) farther(b ranked) bool {
 	return a.d2 > b.d2
 }
 
-// beyond reports whether the candidate lies strictly beyond the distance
-// given as packed lanes.
-func (a ranked) beyond(b0, b1 uint64, b2 uint32) bool {
-	if a.d0 != b0 {
-		return a.d0 > b0
-	}
-	if a.d1 != b1 {
-		return a.d1 > b1
-	}
-	return a.d2 > b2
-}
-
 // rankContact packs c with its XOR distance lanes from target.
 func rankContact(target ID, c Contact) ranked {
 	return ranked{
@@ -362,10 +353,6 @@ func rankContact(target ID, c Contact) ranked {
 	}
 }
 
-// rankedScratch pools the selection heaps Closest runs on, so the per-call
-// cost is the selection itself, not its buffers.
-var rankedScratch = sync.Pool{New: func() any { return new([]ranked) }}
-
 // Closest returns up to count contacts closest to target under XOR
 // distance, nearest first, in a fresh slice.
 func (t *Table) Closest(target ID, count int) []Contact {
@@ -375,178 +362,137 @@ func (t *Table) Closest(target ID, count int) []Contact {
 // AppendClosest appends up to count contacts closest to target under XOR
 // distance to dst, nearest first — the allocation-free form for receive
 // paths that recycle a result buffer. This is the per-message hot path
-// (every FIND_NODE handler and every lookup bootstrap runs it); the
-// selection itself lives in appendClosestRanked.
+// (every FIND_NODE handler runs it); the contacts are copied out of the
+// selection before the lock drops.
 func (t *Table) AppendClosest(dst []Contact, target ID, count int) []Contact {
 	if count <= 0 {
 		return dst
 	}
-	hp := rankedScratch.Get().(*[]ranked)
-	heap := t.appendClosestRanked((*hp)[:0], target, count)
+	t.mu.Lock()
+	sel := t.selectClosest(target, count)
 	if dst == nil {
-		dst = make([]Contact, 0, len(heap))
+		dst = make([]Contact, 0, len(sel))
 	}
-	for i := range heap {
-		dst = append(dst, heap[i].c)
+	for _, p := range sel {
+		dst = append(dst, p.e.Contact)
 	}
-	*hp = heap[:0]
-	rankedScratch.Put(hp)
+	t.mu.Unlock()
 	return dst
 }
 
-// bucketBound is one non-empty bucket in the pruned scan order: its index
-// plus the packed lower bound on the XOR distance from the target that any
-// of its entries can achieve.
-type bucketBound struct {
-	l0, l1 uint64
-	l2     uint32
-	idx    int
-}
-
-// above orders bounds by floor, larger first.
-func (a bucketBound) above(b bucketBound) bool {
-	if a.l0 != b.l0 {
-		return a.l0 > b.l0
-	}
-	if a.l1 != b.l1 {
-		return a.l1 > b.l1
-	}
-	return a.l2 > b.l2
-}
-
-// appendClosestRanked is the selection core behind AppendClosest and the
-// lookup shortlist bootstrap: it appends the count contacts closest to
-// target to dst as ranked entries (distance lanes included), nearest first.
-//
-// It runs an exact bounded selection — a count-sized max-heap on
-// word-packed distances, so most candidates fall to one integer comparison
-// against the heap root — over a bucket scan pruned by per-bucket distance
-// floors. Every entry of bucket b differs from self first at bit b, so its
-// distance from target equals self XOR target on the bits above b, the
-// flipped bit of that distance at b, and arbitrary bits below: an exact
-// floor. Buckets are visited floor-ascending, and once the heap is full
-// with its farthest member at or under the next floor no unscanned entry
-// can displace anything, so the scan stops — near a populated table's
-// target neighbourhood that leaves one or two buckets of the ~log2(N)
-// non-empty ones. Distances are unique (distinct IDs), so the pruned
-// selection and its nearest-first order match a full sort exactly.
+// appendClosestRanked appends the count contacts closest to target to dst
+// as ranked entries (distance lanes included), nearest first: the lookup
+// shortlist bootstrap, which keeps the lanes for its own ordering.
 func (t *Table) appendClosestRanked(dst []ranked, target ID, count int) []ranked {
 	if count <= 0 {
 		return dst
 	}
+	t.mu.Lock()
+	for _, p := range t.selectClosest(target, count) {
+		dst = append(dst, rankContact(target, p.e.Contact))
+	}
+	t.mu.Unlock()
+	return dst
+}
+
+// pick is one selected entry: its top distance lane from the target (the
+// sort key; lower lanes are read through e on a tie) and the entry itself,
+// valid while t.mu is held.
+type pick struct {
+	d0 uint64
+	e  *bucketEntry
+}
+
+// selectClosest is the selection core: it returns the count entries
+// closest to target, nearest first, in the table's scratch — valid until
+// t.mu is released. Callers hold t.mu.
+//
+// Every entry of bucket i agrees with self above bit i and differs from it
+// at bit i, so with s = self XOR target its distance from target equals s
+// above bit i, NOT s at bit i, and anything below. The buckets therefore
+// cover disjoint distance intervals, ordered nearest first as: the buckets
+// whose bit of s is 1, ascending, then those whose bit of s is 0,
+// descending (DESIGN.md has the argument). Both runs fall out of the
+// occupancy bitmap masked with the bit-reversed lanes of s, so no ranking
+// step is needed: the walk takes buckets in order, insertion-sorting each
+// one's at most K entries into place, and stops once count are held. A
+// bucket that would overshoot keeps only its nearest entries. Distances are
+// unique (distinct IDs), so the result matches a full sort exactly.
+func (t *Table) selectClosest(target ID, count int) []pick {
 	t0 := binary.BigEndian.Uint64(target[:])
 	t1 := binary.BigEndian.Uint64(target[8:])
 	t2 := binary.BigEndian.Uint32(target[16:])
-	// The self-to-target distance lanes the per-bucket floors are carved
-	// from.
-	s0 := binary.BigEndian.Uint64(t.self[:]) ^ t0
-	s1 := binary.BigEndian.Uint64(t.self[8:]) ^ t1
-	s2 := binary.BigEndian.Uint32(t.self[16:]) ^ t2
-	heap := dst
-	t.mu.Lock()
-	var order [IDBits]bucketBound
-	nb := 0
-	for w, word := range t.occupied {
-		for word != 0 {
-			i := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			b := bucketBound{idx: i}
-			switch {
-			case i < 64:
-				b.l0 = s0&^(^uint64(0)>>i) | ^s0&(1<<(63-i))
-			case i < 128:
-				b.l0 = s0
-				b.l1 = s1&^(^uint64(0)>>(i-64)) | ^s1&(1<<(127-i))
-			default:
-				b.l0, b.l1 = s0, s1
-				b.l2 = s2&^(^uint32(0)>>(i-128)) | ^s2&(1<<(159-i))
-			}
-			// Floor-ascending insertion sort; only ~log2(N) buckets are
-			// non-empty.
-			j := nb - 1
-			for j >= 0 && order[j].above(b) {
-				order[j+1] = order[j]
-				j--
-			}
-			order[j+1] = b
-			nb++
-		}
+	// Bucket i's bit of s, at bitmap position i: occupied bit i of word w is
+	// bucket 64w+i, while lane w of s is big-endian (bucket 64w at its top).
+	rs := [len(t.occupied)]uint64{
+		bits.Reverse64(binary.BigEndian.Uint64(t.self[:]) ^ t0),
+		bits.Reverse64(binary.BigEndian.Uint64(t.self[8:]) ^ t1),
+		uint64(bits.Reverse32(binary.BigEndian.Uint32(t.self[16:]) ^ t2)),
 	}
-	for bi := 0; bi < nb; bi++ {
-		ob := &order[bi]
-		if len(heap) == count && !heap[0].beyond(ob.l0, ob.l1, ob.l2) {
-			// The farthest kept contact is at or under this bucket's floor,
-			// and floors only rise from here: nothing left can improve.
-			break
-		}
-		entries := t.buckets[ob.idx].entries
-		for ei := range entries {
-			// By pointer: a by-value range would copy the whole entry
-			// per candidate just to read half of it.
-			e := &entries[ei]
-			d0 := e.l0 ^ t0
-			d1 := e.l1 ^ t1
-			d2 := e.l2 ^ t2
-			if len(heap) < count {
-				// Grow phase: sift the newcomer up the max-heap.
-				heap = append(heap, ranked{d0: d0, d1: d1, d2: d2, c: e.Contact})
-				for j := len(heap) - 1; j > 0; {
-					parent := (j - 1) / 2
-					if !heap[j].farther(heap[parent]) {
-						break
-					}
-					heap[j], heap[parent] = heap[parent], heap[j]
-					j = parent
-				}
-			} else if heap[0].beyond(d0, d1, d2) {
-				// Replacement phase: evict the farthest kept contact. The
-				// common case once the heap is full is rejection after the
-				// lane compare above — candidates that lose never pay the
-				// contact copy into a ranked record.
-				heap[0] = ranked{d0: d0, d1: d1, d2: d2, c: e.Contact}
-				for j := 0; ; {
-					l, rgt := 2*j+1, 2*j+2
-					largest := j
-					if l < len(heap) && heap[l].farther(heap[largest]) {
-						largest = l
-					}
-					if rgt < len(heap) && heap[rgt].farther(heap[largest]) {
-						largest = rgt
-					}
-					if largest == j {
-						break
-					}
-					heap[j], heap[largest] = heap[largest], heap[j]
-					j = largest
-				}
+	sel := t.scratch[:0]
+	if cap(sel) < count {
+		// Sized once to the request: the selection never holds more.
+		sel = make([]pick, 0, count)
+	}
+walk:
+	for w := range t.occupied {
+		for word := t.occupied[w] & rs[w]; word != 0; word &= word - 1 {
+			idx := w<<6 + bits.TrailingZeros64(word)
+			if sel = takeBucket(sel, t.buckets[idx].entries, t0, t1, t2, count); len(sel) == count {
+				break walk
 			}
 		}
 	}
-	t.mu.Unlock()
-	// In-place heapsort of the survivors: repeatedly retire the farthest to
-	// the end — ascending by distance, nearest first, identical to a
-	// comparator sort because distances are unique. Reuses the max-heap the
-	// selection already built instead of paying an indirect-comparator sort.
-	for end := len(heap) - 1; end > 0; end-- {
-		heap[0], heap[end] = heap[end], heap[0]
-		h := heap[:end]
-		for j := 0; ; {
-			l, rgt := 2*j+1, 2*j+2
-			largest := j
-			if l < len(h) && h[l].farther(h[largest]) {
-				largest = l
-			}
-			if rgt < len(h) && h[rgt].farther(h[largest]) {
-				largest = rgt
-			}
-			if largest == j {
+	for w := len(t.occupied) - 1; w >= 0 && len(sel) < count; w-- {
+		for word := t.occupied[w] &^ rs[w]; word != 0; {
+			hi := 63 - bits.LeadingZeros64(word)
+			word &^= 1 << hi
+			idx := w<<6 + hi
+			if sel = takeBucket(sel, t.buckets[idx].entries, t0, t1, t2, count); len(sel) == count {
 				break
 			}
-			h[j], h[largest] = h[largest], h[j]
-			j = largest
 		}
 	}
-	return heap
+	t.scratch = sel
+	return sel
+}
+
+// takeBucket merges one bucket's entries into the nearest-first selection
+// sel, holding at most limit: each entry is insertion-sorted into place by
+// its distance lanes from the target (t0, t1, t2). Every earlier bucket of
+// the walk is nearer, so the shift stays within this bucket's run.
+func takeBucket(sel []pick, entries []bucketEntry, t0, t1 uint64, t2 uint32, limit int) []pick {
+	for ei := range entries {
+		p := pick{d0: entries[ei].l0 ^ t0, e: &entries[ei]}
+		if len(sel) == limit {
+			// Full mid-bucket: the newcomer displaces the farthest kept
+			// entry (necessarily from this bucket) or is dropped.
+			if !sel[limit-1].farther(p, t1, t2) {
+				continue
+			}
+			sel = sel[:limit-1]
+		}
+		sel = append(sel, p)
+		j := len(sel) - 1
+		for j > 0 && sel[j-1].farther(p, t1, t2) {
+			sel[j] = sel[j-1]
+			j--
+		}
+		sel[j] = p
+	}
+	return sel
+}
+
+// farther orders picks by distance, larger first. The top lanes decide all
+// but IDs sharing 64 leading bits, which fall through to the lower lanes.
+func (a pick) farther(b pick, t1 uint64, t2 uint32) bool {
+	if a.d0 != b.d0 {
+		return a.d0 > b.d0
+	}
+	if a1, b1 := a.e.l1^t1, b.e.l1^t1; a1 != b1 {
+		return a1 > b1
+	}
+	return a.e.l2^t2 > b.e.l2^t2
 }
 
 // Len returns the number of tracked contacts.

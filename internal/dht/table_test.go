@@ -2,6 +2,7 @@ package dht
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -378,5 +379,77 @@ func TestTableBucketInvariant(t *testing.T) {
 				t.Fatalf("entry %v in bucket %d, want %d", e.ID.Short(), idx, want)
 			}
 		}
+	}
+}
+
+func TestTableClosestAtScale(t *testing.T) {
+	// Companion to TestTableRandomizedAgainstModel at the live shape: K=20
+	// tables that have observed 1000 and 20000 nodes, every count from one
+	// contact past the whole table, and targets that put the nearest
+	// bucket at each end of the walk — self, a tracked ID, and self with
+	// one bit flipped at depths spanning all three bitmap words (159 is
+	// the last bit of the 32-bit lane). Both selection outputs must match
+	// a full sort of the tracked contacts.
+	for _, pop := range []int{1000, 20000} {
+		t.Run(fmt.Sprintf("n%d", pop), func(t *testing.T) {
+			rng := stats.NewRNG(uint64(7 + pop))
+			self := RandomID(rng)
+			now := time.Unix(0, 0)
+			table := NewTable(self, 20, 10*time.Minute, func() time.Time { return now })
+			for i := 0; i < pop; i++ {
+				table.Observe(Contact{ID: RandomID(rng), Addr: transport.Addr(fmt.Sprintf("n%d", i))})
+			}
+			depths := []int{0, 63, 64, 127, 128, 159}
+			flip := func(id ID, depth int) ID {
+				id[depth/8] ^= 0x80 >> (depth % 8)
+				return id
+			}
+			// Random populations leave the deep buckets empty; seed each
+			// depth's bucket with self's neighbour there and a random
+			// member, so the walk must order occupied buckets in every
+			// bitmap word.
+			for _, depth := range depths {
+				member := RandomID(rng)
+				for bit := 0; bit <= depth; bit++ {
+					if byte(member[bit/8]^self[bit/8])&(0x80>>(bit%8)) != 0 {
+						member = flip(member, bit)
+					}
+				}
+				for _, id := range []ID{flip(self, depth), flip(member, depth)} {
+					table.Observe(Contact{ID: id, Addr: transport.Addr(fmt.Sprintf("d%d-%s", depth, id.Short()))})
+				}
+			}
+			var tracked []Contact
+			table.Each(func(c Contact) { tracked = append(tracked, c) })
+			targets := []ID{RandomID(rng), RandomID(rng), RandomID(rng), self, tracked[len(tracked)/2].ID}
+			for _, depth := range depths {
+				targets = append(targets, flip(self, depth))
+			}
+			prefix := []Contact{{ID: IDFromKey([]byte("prefix")), Addr: "keep"}}
+			for ti, target := range targets {
+				want := append([]Contact(nil), tracked...)
+				sort.Slice(want, func(i, j int) bool { return target.CloserTo(want[i].ID, want[j].ID) })
+				for _, count := range []int{1, 7, 20, 64, table.Len() + 5} {
+					exp := want[:min(count, len(want))]
+					dst := append(make([]Contact, 0, 1), prefix...)
+					got := table.AppendClosest(dst, target, count)
+					if got[0] != prefix[0] {
+						t.Fatalf("target %d count %d: dst prefix overwritten: %v", ti, count, got[0])
+					}
+					if !slices.Equal(got[1:], exp) {
+						t.Fatalf("target %d count %d: AppendClosest = %d contacts, want the %d nearest in order", ti, count, len(got)-1, len(exp))
+					}
+					rk := table.appendClosestRanked([]ranked{{c: prefix[0]}}, target, count)
+					if rk[0].c != prefix[0] || len(rk) != len(exp)+1 {
+						t.Fatalf("target %d count %d: appendClosestRanked returned %d entries or lost its prefix", ti, count, len(rk))
+					}
+					for i, r := range rk[1:] {
+						if r != rankContact(target, exp[i]) {
+							t.Fatalf("target %d count %d: ranked[%d] = %+v, want %+v", ti, count, i, r, rankContact(target, exp[i]))
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -84,10 +85,11 @@ func TestPartitionLatencyLowerBound(t *testing.T) {
 	c := p.Endpoint(2, "c")
 
 	sendAt := make([]time.Time, 64)
-	var delivered int
+	// Shards 1 and 2 deliver on concurrent loops within an epoch.
+	var delivered atomic.Int64
 	check := func(s *sim.Simulator) transport.Handler {
 		return func(_ transport.Addr, payload []byte) {
-			delivered++
+			delivered.Add(1)
 			if lat := s.Now().Sub(sendAt[payload[0]]); lat < base {
 				t.Errorf("message %d latency %v below base %v", payload[0], lat, base)
 			}
@@ -110,8 +112,8 @@ func TestPartitionLatencyLowerBound(t *testing.T) {
 		})
 	}
 	l.RunFor(time.Second)
-	if delivered != 40 {
-		t.Fatalf("delivered %d, want 40", delivered)
+	if n := delivered.Load(); n != 40 {
+		t.Fatalf("delivered %d, want 40", n)
 	}
 }
 

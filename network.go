@@ -253,6 +253,11 @@ type Network struct {
 	// draws and no events).
 	faults  []*fault.Engine
 	reports []reportQueue
+	// interners holds one contact-address interner per event loop, shared
+	// by every node on that loop: a loop runs its handlers one at a time,
+	// so the table needs no lock, and each address is stored once per loop
+	// instead of once per node.
+	interners []*dht.AddrInterner
 	// cryptoSrc feeds every sender-side cryptographic draw; sender wraps it
 	// for mission construction. Seed-derived ChaCha8 by default, crypto/rand
 	// with SystemRand.
@@ -321,6 +326,13 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	}
 	n.partFab = part
 	n.reports = make([]reportQueue, shards)
+	n.interners = make([]*dht.AddrInterner, shards)
+	for i := range n.interners {
+		// Every loop may learn every slot address, so the bound scales with
+		// the population (with headroom for foreign addresses), and never
+		// drops below a standalone node's.
+		n.interners[i] = dht.NewAddrInterner(max(dht.DefaultInternBound, 2*cfg.Nodes))
+	}
 	n.shardRng = make([]*stats.RNG, shards)
 	n.shardRng[0] = n.rng
 	for i := 1; i < shards; i++ {
@@ -561,6 +573,7 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 		ID:       id,
 		Endpoint: ep,
 		Clock:    clock,
+		Interner: n.interners[shard],
 		Table:    n.cfg.Table,
 		Retry:    dht.RetryPolicy{Attempts: n.cfg.Retry},
 		OnApp:    host.HandleApp,

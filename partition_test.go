@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"selfemerge/internal/protocol"
 )
@@ -161,5 +162,31 @@ func TestPartitionDeliversAcrossShards(t *testing.T) {
 	}
 	if string(plain) != "cross-shard" {
 		t.Fatalf("plaintext = %q", plain)
+	}
+}
+
+func TestPartitionLoopsOwnInterners(t *testing.T) {
+	// Each event loop owns one contact-address interner shared by its
+	// nodes: both loops' interners fill during boot, and the same address
+	// has one canonical string per loop, not one across loops.
+	net, err := NewNetwork(NetworkConfig{Nodes: 60, Seed: 5, Partition: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(net.interners) != 2 || net.interners[0] == net.interners[1] {
+		t.Fatalf("want two distinct loop interners, got %d", len(net.interners))
+	}
+	var canon [2]*byte
+	for i, in := range net.interners {
+		if in.Len() == 0 {
+			t.Fatalf("loop %d's interner is empty after boot", i)
+		}
+		canon[i] = unsafe.StringData(string(in.Intern([]byte("node-7"))))
+		if again := unsafe.StringData(string(in.Intern([]byte("node-7")))); again != canon[i] {
+			t.Fatalf("loop %d re-interned node-7 to a new string", i)
+		}
+	}
+	if canon[0] == canon[1] {
+		t.Fatal("two loops share one canonical string")
 	}
 }
